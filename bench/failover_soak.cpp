@@ -1,45 +1,34 @@
-// Failover soak (DESIGN.md §15, acceptance harness). Two modes:
+// Failover soak (DESIGN.md §15, acceptance harness).
 //
-// 1. Fault-schedule soak (default): Zipfian small-shape traffic at a
-//    moderate fraction of measured capacity against a multi-shard
-//    service while a fault scheduler walks shards through
-//    quarantine/revive cycles — including one majority-quarantine
-//    window that must enter and exit brownout — and fires hedge bursts
-//    (a stuffed home lane under kHigh requests with deadline slack) so
-//    the hedged-execution path runs against real contention. Gates:
-//      - zero lost tickets: every submitted ticket reaches a terminal
-//        and is classified; queued == in_flight == 0 after drain; the
-//        exactly-once terminal identity holds
-//        (completed + rejected + evicted + cancellations +
-//         deadline_misses == submitted);
-//      - zero unexpected terminals: ok, kOverloaded / kShuttingDown
-//        (refused), kCancelled / kDeadlineExceeded (stopped) only — no
-//        faults are injected, so nothing else may surface;
-//      - zero late terminals: every admitted request reaches a terminal
-//        within 2x its deadline plus a fixed scheduling slack, even
-//        while its home shard is being drained out from under it;
-//      - healthy-shard goodput: completions/s over the fault phase
-//        (brownout window excluded — shedding there is the contract,
-//        not a regression) stays >= --goodput-frac (default 0.9) of the
-//        steady-state phase;
-//      - every failover counter nonzero by the end: rerouted, hedged,
-//        hedge_wins, shard_quarantines, shard_rebuilds, brownouts — a
-//        mechanism that never fired was not soaked.
+// Zipfian small-shape traffic at a moderate fraction of measured
+// capacity against a multi-shard service while a fault scheduler walks
+// shards through quarantine/revive cycles — including one
+// majority-quarantine window that must enter and exit brownout — and
+// fires hedge bursts (a stuffed home lane under kHigh requests with
+// deadline slack) so the hedged-execution path runs against real
+// contention. Gates:
+//   - zero lost tickets: every submitted ticket reaches a terminal and
+//     is classified; queued == in_flight == 0 after drain; the
+//     exactly-once terminal identity holds
+//     (completed + rejected + evicted + cancellations +
+//      deadline_misses == submitted);
+//   - zero unexpected terminals: ok, kOverloaded / kShuttingDown
+//     (refused), kCancelled / kDeadlineExceeded (stopped) only — no
+//     faults are injected, so nothing else may surface;
+//   - zero late terminals: every admitted request reaches a terminal
+//     within 2x its deadline plus a fixed scheduling slack, even while
+//     its home shard is being drained out from under it;
+//   - healthy-shard goodput: completions/s over the fault phase
+//     (brownout window excluded — shedding there is the contract, not a
+//     regression) stays >= --goodput-frac (default 0.9) of the
+//     steady-state phase;
+//   - every failover counter nonzero by the end: rerouted, hedged,
+//     hedge_wins, shard_quarantines, shard_rebuilds, brownouts — a
+//     mechanism that never fired was not soaked.
 //
 //   failover_soak [--seconds 8] [--shards 3] [--load-frac 0.25]
 //                 [--deadline-ms 200] [--goodput-frac 0.9]
 //                 [--slack-ms 500] [--zipf 1.3] [--json BENCH_failover.json]
-//
-// 2. Perf smoke (--perf-check): the failover layer must be free when
-//    there is nothing to fail over. Interleaved best-of-3 synchronous
-//    throughput trials on a shards=1 service with failover enabled (A)
-//    vs disabled (B), gating goodput(A) >= --perf-ratio (default 0.95)
-//    x goodput(B). A single-shard service keeps the legacy admission
-//    and breaker paths verbatim, so this pins the "disabled == absent"
-//    claim with a number.
-//
-//   failover_soak --perf-check [--perf-reps 3] [--perf-requests 400]
-//                 [--perf-ratio 0.95] [--json BENCH_failover.json]
 //
 // Exit 0 on a clean soak, 1 on a violated gate, 2 on the global
 // deadline (the zero-deadlock monitor).
@@ -569,84 +558,6 @@ int run_soak(int argc, char** argv) {
   return failed ? 1 : 0;
 }
 
-// ---- perf smoke (--perf-check) ---------------------------------------------
-
-constexpr index_t kPerfDim = 64;
-
-double perf_trial(bool failover_enabled, int requests) {
-  ServiceOptions options;
-  options.shards = 1;
-  options.lanes = 1;
-  options.threads_per_request = 2;
-  options.queue_depth = 32;
-  options.failover.enabled = failover_enabled;
-  SmmService service(options);
-  Rng rng(42);
-  Matrix<double> a(kPerfDim, kPerfDim), b(kPerfDim, kPerfDim),
-      c(kPerfDim, kPerfDim);
-  a.fill_random(rng);
-  b.fill_random(rng);
-  for (int i = 0; i < 50; ++i)
-    service.submit(1.0, a.cview(), b.cview(), 0.0, c.view()).wait();
-  const auto t0 = Clock::now();
-  for (int i = 0; i < requests; ++i)
-    service.submit(1.0, a.cview(), b.cview(), 0.0, c.view()).wait();
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  service.shutdown();
-  return static_cast<double>(requests) / elapsed;
-}
-
-int run_perf_check(int argc, char** argv) {
-  const int reps =
-      std::stoi(bench::arg_value(argc, argv, "--perf-reps", "3"));
-  const int requests =
-      std::stoi(bench::arg_value(argc, argv, "--perf-requests", "400"));
-  const double ratio_gate =
-      std::stod(bench::arg_value(argc, argv, "--perf-ratio", "0.95"));
-  const std::string json_path =
-      bench::arg_value(argc, argv, "--json", "BENCH_failover.json");
-
-  // Interleaved best-of-N: a throughput ratio on a shared host is
-  // exposed to frequency and load drift; interleaving decorrelates it,
-  // best-of picks each config's undisturbed run.
-  double best_on = 0.0, best_off = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const double on = perf_trial(/*failover_enabled=*/true, requests);
-    const double off = perf_trial(/*failover_enabled=*/false, requests);
-    std::printf("perf rep %d: failover-on %.0f req/s, failover-off %.0f "
-                "req/s\n",
-                r, on, off);
-    best_on = std::max(best_on, on);
-    best_off = std::max(best_off, off);
-  }
-  const double ratio = best_off > 0.0 ? best_on / best_off : 0.0;
-  std::printf("perf-check: on %.0f req/s, off %.0f req/s, ratio %.3f "
-              "(gate %.2f)\n",
-              best_on, best_off, ratio, ratio_gate);
-  {
-    std::ofstream json(json_path);
-    json << "{\n  \"bench\": \"failover_perf_check\",\n";
-    json << strprintf("  \"requests\": %d, \"reps\": %d,\n", requests, reps);
-    json << strprintf("  \"goodput_on_per_s\": %.1f, "
-                      "\"goodput_off_per_s\": %.1f, \"ratio\": %.3f, "
-                      "\"ratio_gate\": %.2f\n",
-                      best_on, best_off, ratio, ratio_gate);
-    json << "}\n";
-  }
-  const bool failed = ratio < ratio_gate;
-  if (failed)
-    std::fprintf(stderr, "GATE FAILED: shards=1 goodput with failover "
-                         "enabled below %.2fx of disabled\n",
-                 ratio_gate);
-  std::printf("failover_soak --perf-check: %s\n", failed ? "FAIL" : "PASS");
-  return failed ? 1 : 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (bench::has_flag(argc, argv, "--perf-check"))
-    return run_perf_check(argc, argv);
-  return run_soak(argc, argv);
-}
+int main(int argc, char** argv) { return run_soak(argc, argv); }

@@ -28,8 +28,9 @@ FailoverOptions failover_options_from_env(FailoverOptions base) {
 }
 
 ShardHealth::ShardHealth(FailoverOptions options,
-                         service::CircuitBreaker::Options breaker)
-    : options_(options), breaker_(breaker) {}
+                         service::CircuitBreaker::Options breaker,
+                         bool has_peer)
+    : options_(options), breaker_(breaker), has_peer_(has_peer) {}
 
 void ShardHealth::on_success() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -46,7 +47,7 @@ bool ShardHealth::on_failure() {
   std::lock_guard<std::mutex> lock(mu_);
   const ShardState s = state_.load(std::memory_order_relaxed);
   if (s == ShardState::kQuarantined) return false;
-  if (s == ShardState::kRebuilding) {
+  if (s == ShardState::kRebuilding && has_peer_) {
     // The probe failed: recovery was premature, straight back out.
     return enter_quarantine_locked(/*admin_hold=*/false);
   }
@@ -54,7 +55,9 @@ bool ShardHealth::on_failure() {
   if (s == ShardState::kHealthy &&
       consecutive_failures_ >= options_.degrade_after)
     state_.store(ShardState::kDegraded, std::memory_order_release);
-  if (consecutive_failures_ >= options_.quarantine_after)
+  // Without a peer the breaker, fed the same failures by the service,
+  // is what refuses traffic.
+  if (has_peer_ && consecutive_failures_ >= options_.quarantine_after)
     return enter_quarantine_locked(/*admin_hold=*/false);
   return false;
 }
@@ -63,6 +66,10 @@ bool ShardHealth::on_pool_quarantine() {
   std::lock_guard<std::mutex> lock(mu_);
   if (state_.load(std::memory_order_relaxed) == ShardState::kQuarantined)
     return false;
+  if (!has_peer_) {
+    breaker_.trip();
+    return false;
+  }
   return enter_quarantine_locked(/*admin_hold=*/false);
 }
 

@@ -55,11 +55,10 @@ enum class ShardState : std::uint8_t {
 
 const char* to_string(ShardState state);
 
+/// Tuning of the per-shard failure domains. Every shard of every
+/// service, a single-shard one included, carries a ledger and admits
+/// through that ledger's breaker.
 struct FailoverOptions {
-  /// Master switch for the per-shard failure domains; single-shard
-  /// services ignore it (with one domain there is nowhere to fail over,
-  /// so the legacy global breaker path is kept verbatim).
-  bool enabled = true;
   /// Consecutive infra-class failures before healthy -> degraded.
   int degrade_after = 2;
   /// Consecutive infra-class failures before degraded -> quarantined.
@@ -86,10 +85,17 @@ FailoverOptions failover_options_from_env(FailoverOptions base = {});
 /// own traffic only. The `on_*` transitions return true exactly when the
 /// event moved the shard *into* kQuarantined — the caller owns the drain
 /// that must follow.
+///
+/// Organic quarantine needs a peer: a shard constructed with
+/// `has_peer == false` (the only shard of a service) has nowhere to send
+/// its traffic, so a drain would only refuse everything. Its failures
+/// and pool quarantines trip the breaker instead and never move it into
+/// kQuarantined; the administrative force_quarantine()/revive() pair
+/// still applies.
 class ShardHealth {
  public:
   ShardHealth(FailoverOptions options,
-              service::CircuitBreaker::Options breaker);
+              service::CircuitBreaker::Options breaker, bool has_peer);
 
   [[nodiscard]] ShardState state() const {
     return state_.load(std::memory_order_acquire);
@@ -106,10 +112,11 @@ class ShardHealth {
   void on_success();
   /// Infra-class failure (dead worker, pool timeout, data corruption —
   /// the same set that feeds CircuitBreaker::on_failure). Returns true
-  /// on entry into kQuarantined.
+  /// on entry into kQuarantined (never without a peer).
   bool on_failure();
-  /// The shard's private pool quarantined itself (watchdog): the hard
-  /// signal — straight to kQuarantined. Returns true on entry.
+  /// The shard's pool quarantined itself (watchdog): the hard signal —
+  /// straight to kQuarantined, or a breaker trip without a peer.
+  /// Returns true on entry.
   bool on_pool_quarantine();
   /// Administrative quarantine (fault drills, operational tooling).
   /// Held until revive() — it never auto-expires into rebuilding.
@@ -134,6 +141,7 @@ class ShardHealth {
 
   FailoverOptions options_;
   service::CircuitBreaker breaker_;
+  const bool has_peer_;
   mutable std::mutex mu_;
   std::atomic<ShardState> state_{ShardState::kHealthy};
   int consecutive_failures_ = 0;  // guarded by mu_

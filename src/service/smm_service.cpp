@@ -103,8 +103,7 @@ bool Ticket::done() const {
   return state_->done;
 }
 
-SmmService::SmmService(ServiceOptions options)
-    : options_(options), breaker_(options.breaker) {
+SmmService::SmmService(ServiceOptions options) : options_(options) {
   // Resolve the auto knobs into options_ so options() reports what the
   // service actually runs with.
   if (options_.shards <= 0) options_.shards = shard::default_shard_count();
@@ -124,24 +123,27 @@ SmmService::SmmService(ServiceOptions options)
                                : model::reference_cost_model();
   flop_ns_ = model.flop_ns;
   dispatch_ns_ = model.dispatch_ns;
-  seen_pool_quarantines_ =
-      robust::health().pool_quarantines.load(std::memory_order_relaxed);
 
-  // A single-shard service keeps the legacy process-wide pool and plan
-  // cache; N > 1 gives every shard a private domain (DESIGN.md §13) so
-  // panels stop contending on one region lock and one cache mutex.
+  // N > 1 gives every shard a private domain (DESIGN.md §13) so panels
+  // stop contending on one region lock and one cache mutex. The only
+  // shard of an N = 1 service runs on the process-wide pool and plan
+  // cache, which already hold the process's warm plans.
   const bool isolated = options_.shards > 1;
-  failover_active_ = isolated && options_.failover.enabled;
   shards_.reserve(static_cast<std::size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
-    auto sh = std::make_unique<Shard>();
+    auto sh = std::make_unique<Shard>(options_.failover, options_.breaker,
+                                      /*has_peer=*/isolated);
     if (isolated) {
-      sh->pool = par::WorkerPool::create_private();
-      sh->cache = std::make_unique<core::PlanCache>(core::reference_smm());
+      sh->owned_pool = par::WorkerPool::create_private();
+      sh->owned_cache =
+          std::make_unique<core::PlanCache>(core::reference_smm());
+      sh->pool = sh->owned_pool.get();
+      sh->cache = sh->owned_cache.get();
+    } else {
+      sh->pool = &par::WorkerPool::instance();
+      sh->cache = &core::smm_plan_cache();
     }
-    if (failover_active_)
-      sh->health = std::make_unique<failover::ShardHealth>(
-          options_.failover, options_.breaker);
+    sh->seen_pool_quarantines = sh->pool->stats().quarantines;
     shards_.push_back(std::move(sh));
   }
   for (int s = 0; s < options_.shards; ++s) {
@@ -150,10 +152,8 @@ SmmService::SmmService(ServiceOptions options)
     for (int l = 0; l < options_.lanes; ++l)
       sh.lanes.emplace_back([this, s] { lane_main(s); });
   }
-  if (failover_active_) {
-    supervisor_running_ = true;
-    supervisor_ = std::thread([this] { failover_main(); });
-  }
+  supervisor_running_ = true;
+  supervisor_ = std::thread([this] { failover_main(); });
 }
 
 SmmService::~SmmService() { shutdown(); }
@@ -196,10 +196,6 @@ double SmmService::queue_fill() const {
   return static_cast<double>(queued) / capacity;
 }
 
-core::PlanCache& SmmService::shard_cache(Shard& shard) const {
-  return shard.cache != nullptr ? *shard.cache : core::smm_plan_cache();
-}
-
 void SmmService::complete(
     const std::shared_ptr<detail::RequestState>& state, Result result) {
   std::lock_guard<std::mutex> lock(state->mu);
@@ -226,7 +222,7 @@ Ticket SmmService::admit(Request request) {
   // (and with it the coalesce key population) stays stable, only the
   // placement moves.
   int target = request.home;
-  if (failover_active_ && !shard_admissible(target)) {
+  if (!shard_admissible(target)) {
     const int n = static_cast<int>(shards_.size());
     target = failover::next_on_ring(
         target, n, [&](int idx) { return shard_admissible(idx); });
@@ -282,7 +278,7 @@ Ticket SmmService::admit(Request request) {
   // state and the submit-time operand snapshot; backup=true makes it
   // silent on a lost claim.
   std::optional<Request> backup_template;
-  if (failover_active_ && request.run_claim != nullptr && !request.backup) {
+  if (request.run_claim != nullptr && !request.backup) {
     backup_template = request;
     backup_template->backup = true;
     backup_template->rerouted = false;
@@ -296,7 +292,7 @@ Ticket SmmService::admit(Request request) {
                     false);
     }
 
-    if (failover_active_ && !shard_admissible(target)) {
+    if (!shard_admissible(target)) {
       // Either every domain is quarantined (the ring fell back to the
       // quarantined home) or the target flipped between selection and
       // lock. Refuse — never enqueue onto a domain the drain owns.
@@ -309,7 +305,7 @@ Ticket SmmService::admit(Request request) {
     // Brownout (DESIGN.md §15): under sustained multi-shard failure the
     // surviving capacity is reserved for the traffic that matters —
     // kLow is shed at the door regardless of queue fill.
-    if (failover_active_ && request.priority == Priority::kLow &&
+    if (request.priority == Priority::kLow &&
         brownout_.load(std::memory_order_relaxed)) {
       lock.unlock();
       return refuse(ErrorCode::kOverloaded,
@@ -363,13 +359,11 @@ Ticket SmmService::admit(Request request) {
       }
     }
 
-    // The breaker — the *target shard's* when the failover layer is
-    // active, the legacy global one otherwise — is consulted after every
-    // load-shaped refusal (so a refused request never consumes the
-    // half-open probe slot) but before the eviction is performed (so a
-    // breaker refusal strands no already-popped victim — it simply
-    // stays queued).
-    if (!effective_breaker(shard).allow()) {
+    // The target shard's breaker is consulted after every load-shaped
+    // refusal (so a refused request never consumes the half-open probe
+    // slot) but before the eviction is performed (so a breaker refusal
+    // strands no already-popped victim — it simply stays queued).
+    if (!shard.health.breaker().allow()) {
       lock.unlock();
       return refuse(ErrorCode::kOverloaded,
                     "smm service: circuit breaker open", false, true);
@@ -420,36 +414,17 @@ Ticket SmmService::admit(Request request) {
   return ticket;
 }
 
-void SmmService::observe_pool_health() {
-  const std::size_t quarantines =
-      robust::health().pool_quarantines.load(std::memory_order_relaxed);
-  bool trip = false;
-  {
-    std::lock_guard<std::mutex> lock(pool_health_mu_);
-    if (quarantines > seen_pool_quarantines_) {
-      seen_pool_quarantines_ = quarantines;
-      trip = true;
-    }
-  }
-  if (trip) breaker_.trip();
-}
-
-CircuitBreaker& SmmService::effective_breaker(Shard& shard) {
-  return failover_active_ ? shard.health->breaker() : breaker_;
-}
-
 bool SmmService::shard_admissible(int idx) const {
-  const Shard& shard = *shards_[static_cast<std::size_t>(idx)];
-  return shard.health == nullptr || shard.health->admissible();
+  return shards_[static_cast<std::size_t>(idx)]->health.admissible();
 }
 
 void SmmService::record_outcome(const Result& result, Shard& shard) {
-  CircuitBreaker& breaker = effective_breaker(shard);
-  // Ledger transitions (multi-shard): the executing shard's own outcome
-  // stream drives its lifecycle — a quarantine entry discovered here
-  // owns the drain that follows.
+  CircuitBreaker& breaker = shard.health.breaker();
+  // Ledger transitions: the executing shard's own outcome stream drives
+  // its lifecycle — a quarantine entry discovered here owns the drain
+  // that follows.
   const auto on_shard_failure = [&] {
-    if (shard.health == nullptr || !shard.health->on_failure()) return;
+    if (!shard.health.on_failure()) return;
     // The ledger just crossed into quarantine: drain the shard. shards_
     // holds unique_ptrs, so recover the index by scan (failure path
     // only, <=64 entries).
@@ -465,7 +440,7 @@ void SmmService::record_outcome(const Result& result, Shard& shard) {
     robust::health().service_completed.fetch_add(1,
                                                  std::memory_order_relaxed);
     breaker.on_success();
-    if (shard.health != nullptr) shard.health->on_success();
+    shard.health.on_success();
     return;
   }
   switch (result.code) {
@@ -506,29 +481,25 @@ void SmmService::record_outcome(const Result& result, Shard& shard) {
 }
 
 BreakerState SmmService::shard_breaker_state(int shard_idx) const {
-  const Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
-  return shard.health != nullptr ? shard.health->breaker().state()
-                                 : breaker_.state();
+  return shards_[static_cast<std::size_t>(shard_idx)]
+      ->health.breaker()
+      .state();
 }
 
 failover::ShardState SmmService::shard_state(int shard_idx) const {
-  const Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
-  return shard.health != nullptr ? shard.health->state()
-                                 : failover::ShardState::kHealthy;
+  return shards_[static_cast<std::size_t>(shard_idx)]->health.state();
 }
 
 void SmmService::quarantine_shard(int shard_idx) {
-  if (!failover_active_) return;
   Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
   // force_quarantine() is true exactly on *entry*: an upgrade of an
   // existing quarantine to an administrative hold needs no second drain.
-  if (shard.health->force_quarantine()) handle_quarantine(shard_idx);
+  if (shard.health.force_quarantine()) handle_quarantine(shard_idx);
 }
 
 void SmmService::revive_shard(int shard_idx) {
-  if (!failover_active_) return;
   Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
-  if (!shard.health->revive()) return;
+  if (!shard.health.revive()) return;
   begin_shard_rebuild(shard);
 }
 
@@ -536,7 +507,7 @@ void SmmService::begin_shard_rebuild(Shard& shard) {
   // The quarantined domain's cached plans are suspect — whatever broke
   // the substrate may have rotted them (that is what the seals catch,
   // but a rebuild starts from a blank slate instead of betting on it).
-  if (shard.cache != nullptr) shard.cache->clear();
+  shard.cache->clear();
   shard_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   robust::health().shard_rebuilds.fetch_add(1, std::memory_order_relaxed);
   evaluate_brownout();
@@ -561,18 +532,16 @@ void SmmService::tick_failover() {
   const auto now = std::chrono::steady_clock::now();
   const int n = static_cast<int>(shards_.size());
 
-  // 1. Pool-quarantine attribution: each shard's private pool watchdog
-  //    is that shard's hardest health signal. The process-wide
-  //    observe_pool_health() path is bypassed entirely when the failover
-  //    layer is active — a panel's hung pool condemns the panel, not
-  //    the whole service.
+  // 1. Pool-quarantine attribution: each shard's pool watchdog is that
+  //    shard's hardest health signal — a panel's hung pool condemns the
+  //    panel, not the whole service. Only the pool a shard runs on
+  //    counts (at N = 1, the process-wide one).
   for (int i = 0; i < n; ++i) {
     Shard& shard = *shards_[static_cast<std::size_t>(i)];
-    if (shard.pool == nullptr) continue;
     const std::size_t q = shard.pool->stats().quarantines;
     if (q > shard.seen_pool_quarantines) {
       shard.seen_pool_quarantines = q;
-      if (shard.health->on_pool_quarantine()) handle_quarantine(i);
+      if (shard.health.on_pool_quarantine()) handle_quarantine(i);
     }
   }
 
@@ -580,7 +549,7 @@ void SmmService::tick_failover() {
   //    elapses; the first clean completion heals the shard.
   for (int i = 0; i < n; ++i) {
     Shard& shard = *shards_[static_cast<std::size_t>(i)];
-    if (shard.health->maybe_begin_rebuild(now)) begin_shard_rebuild(shard);
+    if (shard.health.maybe_begin_rebuild(now)) begin_shard_rebuild(shard);
   }
 
   // 3. Hedge sweep: cancel losers of decided races, fire backups whose
@@ -842,16 +811,15 @@ void SmmService::execute(Request& request, Shard& shard) {
       // state at run start; a mid-run transition misclassifies at most
       // this one observation.
       const bool shard_healthy =
-          !failover_active_ ||
-          shard.health->state() == failover::ShardState::kHealthy;
+          shard.health.state() == failover::ShardState::kHealthy;
       std::optional<tune::ScopedSampleSuppression> suppress;
       if (!shard_healthy) suppress.emplace();
       if (claiming) {
         // Hedged: compute into private scratch, then race for the
         // claim. Only the winner published into the caller's C; the
         // loser's work is discarded without touching any shared state.
-        if (!request.run_claim(token, shard_cache(shard))) {
-          if (!request.backup) effective_breaker(shard).on_neutral();
+        if (!request.run_claim(token, *shard.cache)) {
+          if (!request.backup) shard.health.breaker().on_neutral();
           return;  // the sibling owns the outcome — record nothing
         }
         result.ok = true;
@@ -861,10 +829,10 @@ void SmmService::execute(Request& request, Shard& shard) {
               1, std::memory_order_relaxed);
         }
       } else {
-        request.run(token, shard_cache(shard));
+        request.run(token, *shard.cache);
         result.ok = true;
       }
-      if (failover_active_ && shard_healthy)
+      if (shard_healthy)
         latency_.record(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
@@ -894,12 +862,11 @@ void SmmService::execute(Request& request, Shard& shard) {
     // still racing (or already terminal); if the claim is lost, this
     // arm's outcome is nobody's business.
     if (!request.state->claim()) {
-      if (!request.backup) effective_breaker(shard).on_neutral();
+      if (!request.backup) shard.health.breaker().on_neutral();
       return;
     }
   }
   record_outcome(result, shard);
-  if (!failover_active_) observe_pool_health();
   complete(request.state, std::move(result));
 }
 
@@ -941,12 +908,11 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
   // sibling; the catch below only guards its own preconditions.
   std::vector<core::BatchItemStatus> statuses;
   std::optional<tune::ScopedSampleSuppression> suppress;
-  if (svc.failover_active_ &&
-      shard.health->state() != failover::ShardState::kHealthy)
+  if (shard.health.state() != failover::ShardState::kHealthy)
     suppress.emplace();
   try {
     statuses = core::batched_smm_each(
-        lead->alpha, items, lead->beta, svc.shard_cache(shard),
+        lead->alpha, items, lead->beta, *shard.cache,
         svc.options_.threads_per_request, &svc.options_.gemm, &tokens);
   } catch (const Error& e) {
     statuses.assign(group.size(),
@@ -989,10 +955,9 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
     svc.completed_.fetch_add(ok_members, std::memory_order_relaxed);
     robust::health().service_completed.fetch_add(ok_members,
                                                  std::memory_order_relaxed);
-    svc.effective_breaker(shard).on_success();
-    if (shard.health != nullptr) shard.health->on_success();
+    shard.health.breaker().on_success();
+    shard.health.on_success();
   }
-  if (!svc.failover_active_) svc.observe_pool_health();
 }
 
 void SmmService::reap_stopped_locked(Shard& shard) {
@@ -1038,7 +1003,7 @@ void SmmService::reap_stopped_locked(Shard& shard) {
       // Mirrors execute()'s queued pre-check: a stop is neutral for the
       // breaker, but must still release a half-open probe slot the
       // request may hold from admission. Backups never took that slot.
-      if (!it->backup) effective_breaker(shard).on_neutral();
+      if (!it->backup) shard.health.breaker().on_neutral();
       complete(it->state, std::move(result));
       unqueue();
     }
@@ -1150,20 +1115,18 @@ bool SmmService::try_steal(int thief_idx) {
   if (state() != State::kRunning) return false;
   const int n = static_cast<int>(shards_.size());
   Shard& mine = *shards_[static_cast<std::size_t>(thief_idx)];
-  if (failover_active_) {
-    // Only a healthy or merely degraded shard may steal: a quarantined
-    // or rebuilding domain must not pull fresh work onto the very
-    // substrate the ledger just condemned.
-    const auto mine_state = mine.health->state();
-    if (mine_state != failover::ShardState::kHealthy &&
-        mine_state != failover::ShardState::kDegraded)
-      return false;
-  }
+  // Only a healthy or merely degraded shard may steal: a quarantined or
+  // rebuilding domain must not pull fresh work onto the very substrate
+  // the ledger just condemned.
+  const auto mine_state = mine.health.state();
+  if (mine_state != failover::ShardState::kHealthy &&
+      mine_state != failover::ShardState::kDegraded)
+    return false;
   for (int d = 1; d < n; ++d) {
     const int victim_idx = (thief_idx + d) % n;
     // A quarantined victim's queue belongs to the drain: stealing from
     // it would race the re-route and double-handle tickets.
-    if (failover_active_ && !shard_admissible(victim_idx)) continue;
+    if (!shard_admissible(victim_idx)) continue;
     Shard& victim = *shards_[static_cast<std::size_t>(victim_idx)];
     Request stolen;
     bool got = false;
@@ -1204,10 +1167,9 @@ bool SmmService::try_steal(int thief_idx) {
 void SmmService::lane_main(int shard_idx) {
   Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
   const bool multi = shards_.size() > 1;
-  // Bind the shard's private pool as this lane's run_parallel target:
-  // every nested fork-join region lands on shard-local workers.
-  std::optional<par::WorkerPool::CurrentPoolBinding> binding;
-  if (shard.pool != nullptr) binding.emplace(*shard.pool);
+  // Bind the shard's pool as this lane's run_parallel target: every
+  // nested fork-join region lands on the shard's workers.
+  const par::WorkerPool::CurrentPoolBinding binding(*shard.pool);
   std::unique_lock<std::mutex> lock(shard.mu);
   for (;;) {
     const auto ready = [&] {
@@ -1310,8 +1272,7 @@ void SmmService::shutdown() {
   for (auto& lane : lanes) lane.join();
   // The service promised its caller a clean exit: after this, neither
   // the service nor any pool underneath it owns a live thread.
-  for (auto& shard : shards_)
-    if (shard->pool != nullptr) shard->pool->release_threads();
+  for (auto& shard : shards_) shard->pool->release_threads();
   par::WorkerPool::instance().release_threads();
 }
 
@@ -1412,8 +1373,10 @@ Ticket SmmService::submit(T alpha, ConstMatrixView<T> a,
   // into private scratch; only the claim winner publishes into the
   // caller's C (and beta-accumulation reads a stable pre-image). A
   // hedged request never coalesces: its group siblings would write the
-  // user's C directly, defeating the claim protocol.
-  if (failover_active_ && priority == Priority::kHigh && ms > 0 &&
+  // user's C directly, defeating the claim protocol. A single-shard
+  // service has no second shard to hedge onto, so it never pays for the
+  // snapshots (and keeps the request coalescable).
+  if (shards_.size() > 1 && priority == Priority::kHigh && ms > 0 &&
       c.rows() > 0 && c.cols() > 0 && a.cols() > 0 &&
       static_cast<double>(ms) * 1e6 >
           options_.failover.hedge_budget_factor * request.est_cost_ns) {

@@ -11,16 +11,18 @@
 //   submit() ─ router ─► shard ── admission ──► queue ─► lanes ─► gemm
 //               │          │        │ depth/cost budget → kOverloaded
 //               │          │        ├─ shed watermarks  → kOverloaded
-//               │          │        └─ circuit breaker  → kOverloaded
-//               │          └─ own WorkerPool + PlanCache + lanes
+//               │          │        └─ shard's breaker   → kOverloaded
+//               │          └─ WorkerPool + PlanCache + lanes + ledger
 //               └─ hash(shape class) ⊕ cost bucket (smm::shard)
 //
 // Sharding (DESIGN.md §13): the runtime is partitioned into N execution
-// domains mirroring the sim's 8 NUMA panels. Each shard owns its queue,
-// its lanes, a private WorkerPool, and a partitioned PlanCache, so hot
-// shapes stay plan-cache-local and shards do not contend on one mutex.
-// Bounded work stealing (one request at a time, only from shards with
-// ≥2 queued) keeps a skewed shape distribution from idling capacity.
+// domains mirroring the sim's 8 NUMA panels. Each shard owns its queue
+// and its lanes; at N > 1 it also owns a private WorkerPool and a
+// partitioned PlanCache, so hot shapes stay plan-cache-local and shards
+// do not contend on one mutex. The single shard of an N = 1 service runs
+// on the process-wide pool and plan cache instead. Bounded work stealing
+// (one request at a time, only from shards with ≥2 queued) keeps a
+// skewed shape distribution from idling capacity.
 //
 // Coalescing: lanes group same-shape same-options queued requests into
 // one batched_smm_each call (micro-batch window, depth- and
@@ -29,9 +31,10 @@
 // the individual Tickets with per-item error/cancel propagation — a
 // coalesced neighbor's failure never poisons siblings.
 //
-// Failure domains (smm::failover, DESIGN.md §15): on a multi-shard
-// service every shard carries its own health ledger and circuit breaker,
-// driven by that shard's outcome stream alone. A quarantined shard is
+// Failure domains (smm::failover, DESIGN.md §15): every shard of every
+// service, N = 1 included, carries its own health ledger, and that
+// ledger's circuit breaker is the shard's only breaker, driven by the
+// shard's outcome stream alone. A quarantined shard is
 // drained — its queue re-routes along a deterministic fallback ring, in-
 // flight work runs to terminal state — and its home traffic diverts at
 // admission until the rebuild probe proves recovery. kHigh requests with
@@ -40,7 +43,9 @@
 // loser is cancelled and never double-counts. When a majority of shards
 // are quarantined the service browns out (kLow shed at the door, tune
 // sampling paused, ABFT-correct serving detect-only) instead of
-// collapsing into a global breaker.
+// collapsing into a global breaker. Failing over and hedging need a
+// second shard: the only shard of an N = 1 service is never quarantined
+// organically (its breaker trips instead) and never hedges.
 //
 // Rejections are O(µs): submit() does shape validation, routing, plus a
 // mutex-guarded admission decision — plan resolution, packing, and
@@ -88,8 +93,8 @@ struct ServiceOptions {
   /// Execution domains (DESIGN.md §13). 0 = auto: SMMKIT_SHARDS, else 8
   /// (the sim's panel count). Each shard owns its queue, lanes, a
   /// private WorkerPool, and a partitioned PlanCache; queue_depth,
-  /// watermarks, and cost_budget_ns are all per shard. 1 = the legacy
-  /// single-domain service (process-wide pool and plan cache).
+  /// watermarks, and cost_budget_ns are all per shard. 1 = one shard on
+  /// the process-wide pool and plan cache.
   int shards = 0;
   /// Bounded queue depth per shard; admissions beyond it are rejected
   /// (or evict a lower-priority entry). Env: SMMKIT_QUEUE_DEPTH.
@@ -132,10 +137,10 @@ struct ServiceOptions {
   core::SmmOptions gemm;
   CircuitBreaker::Options breaker;
   /// Per-shard failure domains, re-routing, hedging, brownout
-  /// (smm::failover, DESIGN.md §15). Active only when shards > 1 — a
-  /// single-shard service keeps the legacy global-breaker path verbatim
-  /// (there is nowhere to fail over, and the layer must cost nothing
-  /// when it cannot help).
+  /// (smm::failover, DESIGN.md §15). Always on; `breaker` above
+  /// configures each shard's breaker. Organic quarantine and hedging need
+  /// a second shard, so at shards == 1 only the breaker and the
+  /// administrative quarantine_shard()/revive_shard() act.
   failover::FailoverOptions failover;
 };
 
@@ -163,8 +168,8 @@ struct RequestState {
   Result result;
   /// Hedged execution (DESIGN.md §15): primary and backup share this
   /// state, and exactly one of them may record the outcome and publish
-  /// the result — whoever wins this exchange. Only consulted when the
-  /// failover layer is active.
+  /// the result — whoever wins this exchange. Only consulted for hedged
+  /// requests, which need a service with two or more shards.
   std::atomic<bool> claimed{false};
   bool claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
 };
@@ -311,18 +316,11 @@ class SmmService {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// The legacy global breaker (the only one consulted when shards == 1
-  /// or the failover layer is disabled; informational otherwise — a
-  /// multi-shard service admits through the per-shard breakers).
-  [[nodiscard]] BreakerState breaker_state() const {
-    return breaker_.state();
-  }
-  /// Per-shard breaker (multi-shard failover); breaker_state() when the
-  /// failover layer is inactive.
+  /// The breaker of one shard — the only breaker its admissions consult
+  /// (at shards == 1, shard 0's is the service's only breaker).
   [[nodiscard]] BreakerState shard_breaker_state(int shard_idx) const;
 
-  // Failure-domain surface (DESIGN.md §15). All of these are no-ops /
-  // kHealthy on a single-shard or failover-disabled service.
+  // Failure-domain surface (DESIGN.md §15).
   /// Lifecycle state of one shard.
   [[nodiscard]] failover::ShardState shard_state(int shard_idx) const;
   /// Administratively quarantine a shard (fault drills, operational
@@ -426,10 +424,16 @@ class SmmService {
     ByteRange c_range{nullptr, nullptr};
   };
 
-  /// One execution domain: queue + lanes + pool + plan cache
-  /// (DESIGN.md §13). `pool`/`cache` are null on a single-shard service,
-  /// which keeps the legacy process-wide instances.
+  /// One execution domain: queue + lanes + pool + plan cache + health
+  /// ledger (DESIGN.md §13/§15). `pool` and `cache` are never null and
+  /// are chosen once, by the constructor: private (owned below) at
+  /// N > 1; the process-wide WorkerPool::instance() and smm_plan_cache()
+  /// at N = 1, where a private cache would only re-plan every shape the
+  /// process has already planned.
   struct Shard {
+    Shard(const failover::FailoverOptions& failover,
+          const CircuitBreaker::Options& breaker, bool has_peer)
+        : health(failover, breaker, has_peer) {}
     std::mutex mu;
     std::condition_variable work_cv;
     /// One deque per priority class; lanes pop the highest non-empty.
@@ -437,13 +441,16 @@ class SmmService {
     std::size_t queued = 0;
     double queued_cost_ns = 0.0;
     std::vector<std::thread> lanes;
-    std::unique_ptr<par::WorkerPool> pool;
-    std::unique_ptr<core::PlanCache> cache;
-    /// Failure-domain ledger + per-shard breaker; null unless the
-    /// failover layer is active (DESIGN.md §15).
-    std::unique_ptr<failover::ShardHealth> health;
+    par::WorkerPool* pool = nullptr;
+    core::PlanCache* cache = nullptr;
+    std::unique_ptr<par::WorkerPool> owned_pool;
+    std::unique_ptr<core::PlanCache> owned_cache;
+    /// Failure-domain ledger; its breaker is the shard's only breaker
+    /// (DESIGN.md §15).
+    failover::ShardHealth health;
     /// Pool-quarantine count last attributed by the supervisor (only the
-    /// supervisor thread touches it).
+    /// supervisor thread touches it after construction, which seeds it:
+    /// a quarantine that predates the service is not this shard's).
     std::size_t seen_pool_quarantines = 0;
     std::atomic<std::size_t> routed{0};
     std::atomic<std::size_t> admitted{0};
@@ -502,15 +509,12 @@ class SmmService {
   /// The completed/cancelled/deadline/breaker bookkeeping shared by the
   /// single-request and coalesced completion paths. `shard` is the
   /// domain that *executed* the request — its ledger and breaker take
-  /// the outcome when the failover layer is active.
+  /// the outcome.
   void record_outcome(const Result& result, Shard& shard);
   static void complete(const std::shared_ptr<detail::RequestState>& state,
                        Result result);
-  void observe_pool_health();
 
-  // Failure domains (DESIGN.md §15). All run only when failover_active_.
-  /// The breaker admission and outcome recording consult for `shard`.
-  [[nodiscard]] CircuitBreaker& effective_breaker(Shard& shard);
+  // Failure domains (DESIGN.md §15).
   /// May placements land on shards_[idx] right now?
   [[nodiscard]] bool shard_admissible(int idx) const;
   /// Supervisor thread: pool-quarantine attribution, quarantine expiry,
@@ -538,7 +542,6 @@ class SmmService {
   /// Fire one backup onto `target`'s kHigh queue (bypasses admission —
   /// hedges are best-effort; a full queue skips the fire).
   bool enqueue_backup(int target, Request backup);
-  [[nodiscard]] core::PlanCache& shard_cache(Shard& shard) const;
   /// The construction-time constants alone (no tuner feedback): what
   /// route_shard buckets on, so a shape's home shard never moves when
   /// the tuner revises its cost (plan/pool locality outlives tuning).
@@ -552,11 +555,6 @@ class SmmService {
   ServiceOptions options_;
   double flop_ns_ = 0.0;      ///< cost-model constants, resolved once
   double dispatch_ns_ = 0.0;
-  CircuitBreaker breaker_;
-  /// shards > 1 && options_.failover.enabled, resolved once: the single
-  /// branch every failover hook hides behind — a single-shard service
-  /// runs the PR 7 code paths unchanged.
-  bool failover_active_ = false;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<State> state_{State::kRunning};
@@ -568,9 +566,6 @@ class SmmService {
   std::condition_variable drained_cv_;
   std::atomic<std::size_t> total_queued_{0};
   std::atomic<std::size_t> total_in_flight_{0};
-
-  std::mutex pool_health_mu_;
-  std::size_t seen_pool_quarantines_ = 0;
 
   std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> admitted_{0};
@@ -595,8 +590,8 @@ class SmmService {
   std::atomic<std::size_t> brownouts_{0};
   std::atomic<bool> brownout_{false};
   failover::LatencyWindow latency_;
-  /// Hedge registry and its supervisor thread (started only when
-  /// failover_active_).
+  /// Hedge registry and the supervisor thread that also attributes pool
+  /// quarantines and expires shard quarantines.
   std::mutex hedge_mu_;
   std::vector<HedgeEntry> hedges_;
   std::mutex supervisor_mu_;

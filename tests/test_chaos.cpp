@@ -2,8 +2,9 @@
 // deliberately hung pool worker, quarantines and rebuilds the pool; every
 // memory-pressure injection site degrades instead of throwing out of
 // smm_gemm; the guarded executor treats pool-class faults as rebuildable;
-// and a short concurrent soak drives mixed traffic while the fault
-// scheduler cycles every injection site — no hang, no crash, no
+// a single-shard service attributes process-wide pool quarantines to its
+// one shard; and a short concurrent soak drives mixed traffic while the
+// fault scheduler cycles every injection site — no hang, no crash, no
 // unverified result. The 60-second version of the soak is
 // bench/chaos_soak; this file keeps each case seconds-short so tier-1
 // stays fast.
@@ -24,6 +25,7 @@
 #include "src/robust/fault_injection.h"
 #include "src/robust/guarded_executor.h"
 #include "src/robust/health.h"
+#include "src/service/smm_service.h"
 #include "src/threading/partition.h"
 #include "src/threading/thread_pool.h"
 #include "src/threading/worker_pool.h"
@@ -120,6 +122,74 @@ TEST_F(ChaosTest, WatchdogDetectsHungWorkerQuarantinesAndRecovers) {
   core::smm_gemm(1.0f, prob.a.cview(), prob.b.cview(), 1.0f, prob.c.view(),
                  4);
   EXPECT_TRUE(prob.check(48));
+}
+
+TEST_F(ChaosTest, ProcessPoolQuarantineTripsTheSingleShardBreaker) {
+  // A single-shard service runs on the process-wide pool, so that pool's
+  // watchdog quarantines are its one shard's hardest health signal — but
+  // only those that happen while the service exists.
+  auto& pool = par::WorkerPool::instance();
+  pool.set_watchdog_timeout_ms(150);
+  constexpr GemmShape kShape{128, 128, 128};
+  ASSERT_GT(core::reference_smm()
+                .make_plan(kShape, plan::ScalarType::kF64, 2)
+                .nthreads,
+            1);
+
+  // A quarantine from before the service was constructed.
+  {
+    ScopedFault hang(FaultSite::kWorkerHang,
+                     {.fire_after = 0, .max_fires = 1});
+    EXPECT_THROW(par::run_parallel(2, [](int) {}), Error);
+    ASSERT_TRUE(pool.quarantined());
+  }
+  robust::reset_injected_hangs();
+
+  service::ServiceOptions options;
+  options.shards = 1;
+  options.lanes = 1;
+  options.threads_per_request = 2;
+  // Only the quarantine attribution may open the breaker: one failed
+  // request stays far below the failure threshold, and an opened breaker
+  // stays open for the rest of the case.
+  options.breaker.failure_threshold = 1000;
+  options.breaker.open_for = std::chrono::seconds(60);
+  service::SmmService svc(options);
+  test::GemmProblem<double> prob(kShape.m, kShape.n, kShape.k, 0x5A1);
+  prob.reference(1.0, 0.0);
+  const auto submit = [&] {
+    return svc.submit(1.0, prob.a.cview(), prob.b.cview(), 0.0,
+                      prob.c.view())
+        .wait();
+  };
+  const service::Result first = submit();
+  ASSERT_TRUE(first.ok) << first.message;
+  EXPECT_TRUE(prob.check(kShape.k));
+  // Many supervisor ticks: the old quarantine is not shard 0's.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(svc.shard_breaker_state(0), service::BreakerState::kClosed);
+
+  // A quarantine while the service runs trips shard 0's breaker; with
+  // no peer to fail over to, the shard itself is never quarantined.
+  const std::size_t quarantines_before = pool.stats().quarantines;
+  {
+    ScopedFault hang(FaultSite::kWorkerHang,
+                     {.fire_after = 0, .max_fires = 1});
+    EXPECT_FALSE(submit().ok);
+  }
+  robust::reset_injected_hangs();
+  ASSERT_GT(pool.stats().quarantines, quarantines_before);
+  const auto tripped_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (svc.shard_breaker_state(0) != service::BreakerState::kOpen &&
+         std::chrono::steady_clock::now() < tripped_by)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(svc.shard_breaker_state(0), service::BreakerState::kOpen);
+  EXPECT_NE(svc.shard_state(0), failover::ShardState::kQuarantined);
+  const service::Result refused = submit();
+  EXPECT_EQ(refused.code, ErrorCode::kOverloaded) << refused.message;
+  EXPECT_GE(svc.stats().breaker_rejections, 1u);
+  svc.shutdown();
 }
 
 TEST_F(ChaosTest, ZeroTimeoutDisablesTheWatchdog) {

@@ -364,8 +364,20 @@ TEST_F(ResilientTest, DeadlinePricingRefusesDoomedResubmission) {
   test::GemmProblem<double> big2(256, 256, 256, 311);
   service::Ticket b1 = svc.submit(1.0, big1.a.cview(), big1.b.cview(), 0.0,
                                   big1.c.view(), Priority::kHigh);
+  // b2 may only arrive once the lane runs b1: submitted into the still-
+  // occupied slot it would meet a full queue with no lower-class victim
+  // and be refused, and the kNormal arrival would take the slot instead.
+  const auto b1_running = [&] {
+    const SmmService::Stats s = svc.stats();
+    return s.in_flight == 1 && s.queued == 0;
+  };
+  const auto started_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!b1_running() && std::chrono::steady_clock::now() < started_by)
+    std::this_thread::yield();
   service::Ticket b2 = svc.submit(1.0, big2.a.cview(), big2.b.cview(), 0.0,
                                   big2.c.view(), Priority::kHigh);
+  ASSERT_EQ(svc.stats().admitted, 2u) << "b2 must queue behind b1";
 
   RetryBudget bucket(16.0);
   ResilientOptions ropts;

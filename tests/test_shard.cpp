@@ -278,7 +278,7 @@ TEST(ShardService, CoalescedNeighborFailureDoesNotPoisonSiblings) {
   EXPECT_TRUE(probs[3].check(32));
   EXPECT_EQ(max_abs_diff(probs[2].c.cview(), c2_before.cview()), 0.0);
   // A neighbor's NaN is the caller's fault: the breaker stays closed.
-  EXPECT_EQ(svc.breaker_state(), service::BreakerState::kClosed);
+  EXPECT_EQ(svc.shard_breaker_state(0), service::BreakerState::kClosed);
   svc.shutdown();
 }
 

@@ -289,7 +289,10 @@ class TableTest : public TuneTest {
  protected:
   void SetUp() override {
     TuneTest::SetUp();
-    dir_ = "tune_test_tables";
+    // One directory per process: ctest runs each case in its own
+    // process, in parallel, and a shared directory lets one case's
+    // TearDown delete another's table mid-run.
+    dir_ = "tune_test_tables_" + std::to_string(::getpid());
     ::mkdir(dir_.c_str(), 0755);
     path_ = Tuner::table_path(dir_);
     std::remove(path_.c_str());
