@@ -27,6 +27,14 @@ struct Golden {
   double efficiency;  // expected, +-5% relative
 };
 
+// Without this, gtest prints a Golden as its raw bytes, and the bytes of
+// `strategy` are a pointer that moves with every (ASLR) load of the test
+// binary, so the test names listed for ctest would differ from build to
+// build. The instance name already carries strategy, shape and threads.
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << "expect " << g.efficiency;
+}
+
 // Captured from the calibrated model (see EXPERIMENTS.md for the paper
 // values these reproduce in shape).
 const Golden kGolden[] = {
