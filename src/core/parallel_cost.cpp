@@ -109,9 +109,15 @@ double measure_barrier_ns(int hw, double dispatch_ns) {
   const int rounds = hw >= 2 ? 256 : 32;
   const double region_ns = min_of_reps_ns(3, 1, [&] {
     par::Barrier bar(2);
-    par::run_parallel(2, [&](int) {
-      for (int r = 0; r < rounds; ++r) bar.arrive_and_wait();
-    });
+    // A worker that fails before its first arrival (an injected throw or
+    // hang) would strand its peer at the barrier: poison it, so the
+    // measurement throws and measure_or falls back instead of hanging.
+    par::run_parallel(
+        2,
+        [&](int) {
+          for (int r = 0; r < rounds; ++r) bar.arrive_and_wait();
+        },
+        [&] { bar.poison(); });
   });
   return std::max(1.0, (region_ns - dispatch_ns) / rounds);
 }

@@ -15,16 +15,23 @@ void generic_microkernel(index_t kc, T alpha, T beta,
   SMM_EXPECT(mr_eff >= 0 && mr_eff <= kMaxTile && nr_eff >= 0 &&
                  nr_eff <= kMaxTile,
              "generic_microkernel: tile too large");
+  // Both offsets are linear in k, so the panel arithmetic (a % and a / per
+  // row and per column) runs once per call instead of once per element.
+  const T* arow[kMaxTile];
+  const T* bcol[kMaxTile];
+  for (index_t i = 0; i < mr_eff; ++i) arow[i] = ops.a + a_offset(ops, i, 0);
+  for (index_t j = 0; j < nr_eff; ++j) bcol[j] = ops.b + b_offset(ops, 0, j);
+  const index_t ak = ops.a_kstride;
+  const index_t bk = ops.b_kstride;
+
   T acc[kMaxTile][kMaxTile];
   for (index_t i = 0; i < mr_eff; ++i)
     for (index_t j = 0; j < nr_eff; ++j) acc[i][j] = T(0);
 
   for (index_t k = 0; k < kc; ++k) {
     for (index_t j = 0; j < nr_eff; ++j) {
-      const T bkj = ops.b[b_offset(ops, k, j)];
-      for (index_t i = 0; i < mr_eff; ++i) {
-        acc[i][j] += ops.a[a_offset(ops, i, k)] * bkj;
-      }
+      const T bkj = bcol[j][k * bk];
+      for (index_t i = 0; i < mr_eff; ++i) acc[i][j] += arow[i][k * ak] * bkj;
     }
   }
 
@@ -32,6 +39,43 @@ void generic_microkernel(index_t kc, T alpha, T beta,
     for (index_t i = 0; i < mr_eff; ++i) {
       T* c = ops.c + i * ops.c_rs + j * ops.c_cs;
       // beta == 0 must not read C (it may hold uninitialized data).
+      *c = (beta == T(0)) ? alpha * acc[i][j] : alpha * acc[i][j] + beta * *c;
+    }
+  }
+}
+
+template <typename T, int MR, int NR>
+void edge_microkernel(index_t kc, T alpha, T beta,
+                      const KernelOperands<T>& ops, index_t mr_eff,
+                      index_t nr_eff) {
+  SMM_EXPECT(mr_eff == MR && nr_eff == NR,
+             "edge_microkernel handles only full tiles");
+  // The same loops as generic_microkernel with the tile fixed at compile
+  // time; GCC leaves loops this short rolled at -O2 unless told otherwise.
+  const T* arow[MR];
+  const T* bcol[NR];
+#pragma GCC unroll 16
+  for (int i = 0; i < MR; ++i) arow[i] = ops.a + a_offset(ops, i, 0);
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) bcol[j] = ops.b + b_offset(ops, 0, j);
+  const index_t ak = ops.a_kstride;
+  const index_t bk = ops.b_kstride;
+
+  T acc[MR][NR] = {};
+  for (index_t k = 0; k < kc; ++k) {
+#pragma GCC unroll 16
+    for (int j = 0; j < NR; ++j) {
+      const T bkj = bcol[j][k * bk];
+#pragma GCC unroll 16
+      for (int i = 0; i < MR; ++i) acc[i][j] += arow[i][k * ak] * bkj;
+    }
+  }
+
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) {
+#pragma GCC unroll 16
+    for (int i = 0; i < MR; ++i) {
+      T* c = ops.c + i * ops.c_rs + j * ops.c_cs;
       *c = (beta == T(0)) ? alpha * acc[i][j] : alpha * acc[i][j] + beta * *c;
     }
   }
@@ -107,26 +151,15 @@ template void generic_microkernel<double>(index_t, double, double,
                                           const KernelOperands<double>&,
                                           index_t, index_t);
 
-#define SMM_INSTANTIATE_TILE(MR, NR)                                     \
-  template void tile_microkernel<float, MR, NR>(                         \
-      index_t, float, float, const KernelOperands<float>&, index_t,      \
-      index_t);                                                          \
-  template void tile_microkernel<double, MR, NR>(                        \
-      index_t, double, double, const KernelOperands<double>&, index_t,   \
-      index_t)
+#define SMM_INSTANTIATE_TILE(KERNEL, MR, NR)                          \
+  template void KERNEL<float, MR, NR>(index_t, float, float,          \
+                                      const KernelOperands<float>&,   \
+                                      index_t, index_t);              \
+  template void KERNEL<double, MR, NR>(index_t, double, double,       \
+                                       const KernelOperands<double>&, \
+                                       index_t, index_t);
 
-SMM_INSTANTIATE_TILE(16, 4);
-SMM_INSTANTIATE_TILE(16, 2);
-SMM_INSTANTIATE_TILE(16, 1);
-SMM_INSTANTIATE_TILE(12, 4);
-SMM_INSTANTIATE_TILE(8, 12);
-SMM_INSTANTIATE_TILE(8, 8);
-SMM_INSTANTIATE_TILE(8, 4);
-SMM_INSTANTIATE_TILE(8, 2);
-SMM_INSTANTIATE_TILE(8, 1);
-SMM_INSTANTIATE_TILE(4, 4);
-SMM_INSTANTIATE_TILE(4, 2);
-SMM_INSTANTIATE_TILE(4, 1);
+SMM_COMPILED_TILES(SMM_INSTANTIATE_TILE)
 
 #undef SMM_INSTANTIATE_TILE
 

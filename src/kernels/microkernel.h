@@ -164,9 +164,10 @@ void set_panel_bt(KernelOperands<T>& ops, const T* b, index_t ps,
 
 // ---- Kernels -------------------------------------------------------------
 
-/// Fully general scalar micro-kernel: any tile, any addressing, masked C
-/// update. The fallback for edge tiles and the numerical reference for
-/// every specialized kernel.
+/// Fully general scalar micro-kernel: any tile up to 32x32, any
+/// addressing, masked C update. The fallback for masked updates, strided-row
+/// A and tiles without a compiled kernel, and the numerical reference for
+/// every compiled kernel (each one keeps its k-order and C update).
 template <typename T>
 void generic_microkernel(index_t kc, T alpha, T beta,
                          const KernelOperands<T>& ops, index_t mr_eff,
@@ -185,5 +186,44 @@ template <typename T, int MR, int NR>
 void tile_microkernel(index_t kc, T alpha, T beta,
                       const KernelOperands<T>& ops, index_t mr_eff,
                       index_t nr_eff);
+
+/// Scalar kernel for a full MR x NR tile too narrow for a vector (the
+/// m = 1, 2 edge tiles): compile-time loops over scalar accumulators, row
+/// and column pointers resolved once per call, and the generic kernel's
+/// k-order and C update. Any A and B addressing.
+/// Requires mr_eff == MR and nr_eff == NR (checked with SMM_EXPECT).
+template <typename T, int MR, int NR>
+void edge_microkernel(index_t kc, T alpha, T beta,
+                      const KernelOperands<T>& ops, index_t mr_eff,
+                      index_t nr_eff);
+
+/// Every tile with a compiled kernel, as X(kernel template, MR, NR). The
+/// list drives both the explicit instantiations (microkernel.cpp) and the
+/// registry's tile dispatch, and covers every tile the registry registers.
+#define SMM_COMPILED_TILES(X)   \
+  X(tile_microkernel, 16, 4)    \
+  X(tile_microkernel, 16, 2)    \
+  X(tile_microkernel, 16, 1)    \
+  X(tile_microkernel, 12, 8)    \
+  X(tile_microkernel, 12, 4)    \
+  X(tile_microkernel, 12, 2)    \
+  X(tile_microkernel, 12, 1)    \
+  X(tile_microkernel, 8, 12)    \
+  X(tile_microkernel, 8, 8)     \
+  X(tile_microkernel, 8, 4)     \
+  X(tile_microkernel, 8, 2)     \
+  X(tile_microkernel, 8, 1)     \
+  X(tile_microkernel, 4, 8)     \
+  X(tile_microkernel, 4, 4)     \
+  X(tile_microkernel, 4, 2)     \
+  X(tile_microkernel, 4, 1)     \
+  X(edge_microkernel, 2, 8)     \
+  X(edge_microkernel, 2, 4)     \
+  X(edge_microkernel, 2, 2)     \
+  X(edge_microkernel, 2, 1)     \
+  X(edge_microkernel, 1, 8)     \
+  X(edge_microkernel, 1, 4)     \
+  X(edge_microkernel, 1, 2)     \
+  X(edge_microkernel, 1, 1)
 
 }  // namespace smm::kern

@@ -8,43 +8,27 @@
 
 namespace smm::kern {
 
-namespace {
-
-// Dispatch table over the explicitly instantiated register-blocked tiles
-// (microkernel.cpp). Any other tile falls back to the generic kernel.
-template <typename T>
-MicroKernelFn<T> specialized_fn(int mr, int nr) {
-  const auto key = mr * 100 + nr;
-  switch (key) {
-    case 1604: return &tile_microkernel<T, 16, 4>;
-    case 1602: return &tile_microkernel<T, 16, 2>;
-    case 1601: return &tile_microkernel<T, 16, 1>;
-    case 1204: return &tile_microkernel<T, 12, 4>;
-    case 812:  return &tile_microkernel<T, 8, 12>;
-    case 808:  return &tile_microkernel<T, 8, 8>;
-    case 804:  return &tile_microkernel<T, 8, 4>;
-    case 802:  return &tile_microkernel<T, 8, 2>;
-    case 801:  return &tile_microkernel<T, 8, 1>;
-    case 404:  return &tile_microkernel<T, 4, 4>;
-    case 402:  return &tile_microkernel<T, 4, 2>;
-    case 401:  return &tile_microkernel<T, 4, 1>;
-    default:   return &generic_microkernel<T>;
-  }
-}
-
-}  // namespace
-
+// Dispatch table over the compiled tiles (microkernel.h). Any other tile
+// falls back to the generic kernel.
 template <typename T>
 MicroKernelFn<T> native_tile_fn(int mr, int nr) {
-  return specialized_fn<T>(mr, nr);
+#define SMM_TILE_CASE(KERNEL, MR, NR) \
+  case MR * 100 + NR:                 \
+    return &KERNEL<T, MR, NR>;
+  switch (mr * 100 + nr) {
+    SMM_COMPILED_TILES(SMM_TILE_CASE)
+    default:
+      return &generic_microkernel<T>;
+  }
+#undef SMM_TILE_CASE
 }
 template MicroKernelFn<float> native_tile_fn<float>(int, int);
 template MicroKernelFn<double> native_tile_fn<double>(int, int);
 
 KernelId KernelRegistry::add(KernelInfo info) {
   info.id = static_cast<KernelId>(kernels_.size());
-  info.f32 = specialized_fn<float>(info.mr, info.nr);
-  info.f64 = specialized_fn<double>(info.mr, info.nr);
+  info.f32 = native_tile_fn<float>(info.mr, info.nr);
+  info.f64 = native_tile_fn<double>(info.mr, info.nr);
   kernels_.push_back(std::move(info));
   return kernels_.back().id;
 }

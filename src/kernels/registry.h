@@ -72,8 +72,9 @@ ScheduleSpec kernel_spec(KernelId id);
 std::vector<index_t> decompose_edge(index_t extent,
                                     const std::vector<index_t>& sizes);
 
-/// Pick the native micro-kernel function for a tile: a specialized
-/// register-blocked instantiation when one exists, else the generic kernel.
+/// Pick the native micro-kernel function for a tile: its compiled kernel
+/// (SMM_COMPILED_TILES: vector or scalar-edge) when one exists, else the
+/// generic kernel.
 template <typename T>
 MicroKernelFn<T> native_tile_fn(int mr, int nr);
 

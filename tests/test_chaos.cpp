@@ -12,11 +12,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/common/error.h"
 #include "src/core/batched.h"
+#include "src/core/parallel_cost.h"
 #include "src/core/plan_builder.h"
 #include "src/core/plan_cache.h"
 #include "src/core/smm.h"
@@ -73,6 +76,29 @@ class ChaosTest : public ::testing::Test {
 };
 
 // ---- watchdog + quarantine -------------------------------------------------
+
+TEST_F(ChaosTest, CalibrationFallsBackWhenAWorkerDiesBeforeItsBarrier) {
+  // The measured cost model calibrates once per process, on first use.
+  // ctest runs each case in a fresh process, so here that first use meets
+  // a hung worker in every pooled region, including the barrier
+  // measurement's: its master must fail out of the barrier and fall back
+  // to the reference constant, not wait forever for the lost peer. (In a
+  // shared process calibration already ran and the case only checks that
+  // the call returns.) The call runs on a detached thread so a regression
+  // fails here in seconds instead of hanging the binary.
+  par::WorkerPool::instance().set_watchdog_timeout_ms(100);
+  auto returned = std::make_shared<std::promise<void>>();
+  std::future<void> done = returned->get_future();
+  ScopedFault hang(FaultSite::kWorkerHang,
+                   {.fire_after = 0, .max_fires = 1000});
+  std::thread([returned] {
+    (void)core::calibrated_cost_model();
+    returned->set_value();
+  }).detach();
+  EXPECT_EQ(done.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "calibration stranded its master at a barrier";
+}
 
 TEST_F(ChaosTest, WatchdogDetectsHungWorkerQuarantinesAndRecovers) {
   auto& pool = par::WorkerPool::instance();
@@ -154,6 +180,10 @@ TEST_F(ChaosTest, ProcessPoolQuarantineTripsTheSingleShardBreaker) {
   // stays open for the rest of the case.
   options.breaker.failure_threshold = 1000;
   options.breaker.open_for = std::chrono::seconds(60);
+  // Plan with the static heuristic the premise above checks: the measured
+  // cost model may cap the shape at one thread on a loaded host, and then
+  // the injected worker hang never fires. kStatic also keeps the tuner out.
+  options.gemm.thread_scaling = core::SmmOptions::ThreadScaling::kStatic;
   service::SmmService svc(options);
   test::GemmProblem<double> prob(kShape.m, kShape.n, kShape.k, 0x5A1);
   prob.reference(1.0, 0.0);

@@ -84,10 +84,14 @@ TEST_P(TileKernel, PackedOperandsF64) {
 INSTANTIATE_TEST_SUITE_P(
     Tiles, TileKernel,
     ::testing::Values(std::pair{16, 4}, std::pair{16, 2}, std::pair{16, 1},
-                      std::pair{12, 4}, std::pair{8, 12}, std::pair{8, 8},
+                      std::pair{12, 8}, std::pair{12, 4}, std::pair{12, 2},
+                      std::pair{12, 1}, std::pair{8, 12}, std::pair{8, 8},
                       std::pair{8, 4}, std::pair{8, 2}, std::pair{8, 1},
-                      std::pair{4, 4}, std::pair{4, 2}, std::pair{4, 1},
-                      std::pair{2, 4}, std::pair{1, 4}, std::pair{3, 5}),
+                      std::pair{4, 8}, std::pair{4, 4}, std::pair{4, 2},
+                      std::pair{4, 1}, std::pair{2, 8}, std::pair{2, 4},
+                      std::pair{2, 2}, std::pair{2, 1}, std::pair{1, 8},
+                      std::pair{1, 4}, std::pair{1, 2}, std::pair{1, 1},
+                      std::pair{3, 5}),
     [](const auto& info) {
       return std::to_string(info.param.first) + "x" +
              std::to_string(info.param.second);

@@ -1,12 +1,15 @@
 // Exhaustive sweep over every registered kernel: native correctness
-// against the scalar oracle (full tile and masked edge, f32 and f64), and
-// schedule-construction invariants for both precisions. Parameterized
-// over the whole registry so newly registered kernels are covered
-// automatically.
+// against the scalar oracle (full tile and masked edge, f32 and f64, under
+// every operand binding the executor and the library models produce), a
+// compiled kernel for every registered tile, and schedule-construction
+// invariants for both precisions. Parameterized over the whole registry so
+// newly registered kernels are covered automatically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -23,69 +26,204 @@ std::vector<KernelId> all_kernel_ids() {
   return out;
 }
 
-template <typename T>
-void oracle(index_t kc, T alpha, T beta, const KernelOperands<T>& ops,
-            index_t mr, index_t nr, std::vector<T>& c_ref, index_t c_cs) {
-  for (index_t j = 0; j < nr; ++j) {
-    for (index_t i = 0; i < mr; ++i) {
-      double acc = 0;
-      for (index_t k = 0; k < kc; ++k)
-        acc += static_cast<double>(ops.a[a_offset(ops, i, k)]) *
-               static_cast<double>(ops.b[b_offset(ops, k, j)]);
-      const auto idx = static_cast<std::size_t>(i + j * c_cs);
-      const double base =
-          beta == T(0) ? 0.0
-                       : static_cast<double>(beta) *
-                             static_cast<double>(c_ref[idx]);
-      c_ref[idx] = static_cast<T>(static_cast<double>(alpha) * acc + base);
-    }
-  }
+enum class ABinding { kPacked, kDirectColMajor, kPanel, kDirectRowMajor };
+enum class BBinding { kPacked, kDirectColMajor, kRowMajor };
+
+struct Binding {
+  ABinding a;
+  BBinding b;
+  bool c_row_major;  ///< c_rs != 1 (a row-major C view)
+  bool beta_zero;    ///< C poisoned with NaN: it must not be read
+  bool masked;       ///< useful (mr-1) x (nr-1) update of a larger tile
+};
+
+std::string describe(const Binding& bind) {
+  static const char* const kA[] = {"packed A", "direct col-major A",
+                                   "panel A (ps=4)", "direct row-major A"};
+  static const char* const kB[] = {"packed B", "direct col-major B",
+                                   "row-major B"};
+  return std::string(kA[static_cast<int>(bind.a)]) + ", " +
+         kB[static_cast<int>(bind.b)] +
+         (bind.c_row_major ? ", row-major C" : ", col-major C") +
+         (bind.beta_zero ? ", beta 0 over NaN C" : ", beta -0.5") +
+         (bind.masked ? ", masked" : "");
 }
 
+/// Runs one update under one binding, routed the way the native executor
+/// routes it: full tiles with unit-stride A rows to the kernel's compiled
+/// entry, masked updates and strided-row A to the generic kernel. Checks
+/// every element of the C buffer: the useful tile against the oracle
+/// within the rounding bound of a kc-term dot product plus the alpha/beta
+/// update, everything else untouched.
 template <typename T>
-void check_kernel(KernelId id, bool edge_invocation) {
+void check_binding(KernelId id, const Binding& bind) {
   const auto& info = KernelRegistry::instance().info(id);
   const index_t mr = info.mr;
   const index_t nr = info.nr;
   const index_t kc = 13;
-  Rng rng(static_cast<std::uint64_t>(id) * 7919 + (edge_invocation ? 1 : 0));
-  std::vector<T> a(static_cast<std::size_t>(mr * kc));
-  std::vector<T> b(static_cast<std::size_t>(nr * kc));
-  std::vector<T> c(static_cast<std::size_t>(mr * nr));
-  for (auto& v : a) v = static_cast<T>(rng.uniform(-1, 1));
-  for (auto& v : b) v = static_cast<T>(rng.uniform(-1, 1));
-  for (auto& v : c) v = static_cast<T>(rng.uniform(-1, 1));
-  std::vector<T> c_ref = c;
+  Rng rng(static_cast<std::uint64_t>(id) * 104729 +
+          static_cast<std::uint64_t>(bind.a) * 31 +
+          static_cast<std::uint64_t>(bind.b) * 7 + (bind.c_row_major ? 4 : 0) +
+          (bind.beta_zero ? 2 : 0) + (bind.masked ? 1 : 0));
+  const auto random_vector = [&rng](index_t size) {
+    std::vector<T> v(static_cast<std::size_t>(size));
+    for (auto& x : v) x = static_cast<T>(rng.uniform(-1, 1));
+    return v;
+  };
 
   KernelOperands<T> ops;
-  set_packed_a(ops, a.data(), mr);
-  set_packed_b(ops, b.data(), nr);
-  ops.c = c.data();
-  ops.c_rs = 1;
-  ops.c_cs = mr;
-
-  const index_t um = edge_invocation ? std::max<index_t>(1, mr - 1) : mr;
-  const index_t un = edge_invocation ? std::max<index_t>(1, nr - 1) : nr;
-  oracle<T>(kc, T(1.5), T(-0.5), ops, um, un, c_ref, mr);
-  // Edge invocations go through the generic kernel exactly like the
-  // native executor routes them.
-  if (um == mr && un == nr) {
-    kernel_fn<T>(id)(kc, T(1.5), T(-0.5), ops, um, un);
-  } else {
-    generic_microkernel<T>(kc, T(1.5), T(-0.5), ops, um, un);
+  std::vector<T> a;
+  switch (bind.a) {
+    case ABinding::kPacked:
+      a = random_vector(mr * kc);
+      set_packed_a(ops, a.data(), mr);
+      break;
+    case ABinding::kDirectColMajor: {
+      const index_t lda = mr + 3;
+      a = random_vector(lda * kc);
+      set_direct_a_colmajor(ops, a.data(), lda, mr);
+      break;
+    }
+    case ABinding::kPanel: {
+      const index_t ps = 4;
+      const index_t total_cols = kc + 2;  // the sliver is part of a panel
+      a = random_vector(mr * total_cols);
+      set_panel_a(ops, a.data(), ps, total_cols);
+      break;
+    }
+    case ABinding::kDirectRowMajor: {
+      const index_t lda = kc + 4;
+      a = random_vector(lda * mr);
+      set_direct_a_rowmajor(ops, a.data(), lda, mr);
+      break;
+    }
   }
-  double worst = 0;
-  for (std::size_t i = 0; i < c.size(); ++i)
-    worst = std::max(worst, std::abs(static_cast<double>(c[i]) -
-                                     static_cast<double>(c_ref[i])));
-  EXPECT_LE(worst, 1e-4) << info.name << (edge_invocation ? " edge" : "");
+  std::vector<T> b;
+  switch (bind.b) {
+    case BBinding::kPacked:
+      b = random_vector(nr * kc);
+      set_packed_b(ops, b.data(), nr);
+      break;
+    case BBinding::kDirectColMajor: {
+      const index_t ldb = kc + 5;
+      b = random_vector(ldb * nr);
+      set_direct_b_colmajor(ops, b.data(), ldb);
+      break;
+    }
+    case BBinding::kRowMajor: {
+      const index_t ldb = nr + 3;
+      b = random_vector(ldb * kc);
+      set_direct_b_rowmajor(ops, b.data(), ldb, nr);
+      break;
+    }
+  }
+  ops.c_rs = bind.c_row_major ? nr + 1 : 1;
+  ops.c_cs = bind.c_row_major ? 1 : mr + 2;
+  std::vector<T> c = random_vector(bind.c_row_major ? mr * ops.c_rs
+                                                    : nr * ops.c_cs);
+  if (bind.beta_zero)
+    std::fill(c.begin(), c.end(), std::numeric_limits<T>::quiet_NaN());
+  const std::vector<T> c_before = c;
+  ops.c = c.data();
+
+  const T alpha = T(1.5);
+  const T beta = bind.beta_zero ? T(0) : T(-0.5);
+  const index_t um = bind.masked ? std::max<index_t>(1, mr - 1) : mr;
+  const index_t un = bind.masked ? std::max<index_t>(1, nr - 1) : nr;
+  if (um == mr && un == nr && ops.a_istride == 1) {
+    kernel_fn<T>(id)(kc, alpha, beta, ops, um, un);
+  } else {
+    generic_microkernel<T>(kc, alpha, beta, ops, um, un);
+  }
+
+  const double eps = std::numeric_limits<T>::epsilon();
+  std::vector<bool> in_tile(c.size(), false);
+  for (index_t j = 0; j < un; ++j) {
+    for (index_t i = 0; i < um; ++i) {
+      double exact = 0;
+      double magnitude = 0;
+      for (index_t k = 0; k < kc; ++k) {
+        const double p = static_cast<double>(ops.a[a_offset(ops, i, k)]) *
+                         static_cast<double>(ops.b[b_offset(ops, k, j)]);
+        exact += p;
+        magnitude += std::abs(p);
+      }
+      const auto idx = static_cast<std::size_t>(i * ops.c_rs + j * ops.c_cs);
+      in_tile[idx] = true;
+      exact *= static_cast<double>(alpha);
+      magnitude *= std::abs(static_cast<double>(alpha));
+      if (!bind.beta_zero) {
+        const double old = static_cast<double>(c_before[idx]);
+        exact += static_cast<double>(beta) * old;
+        magnitude += std::abs(static_cast<double>(beta) * old);
+      }
+      const double bound = static_cast<double>(kc + 3) * eps * magnitude;
+      const double got = static_cast<double>(c[idx]);
+      EXPECT_LE(std::abs(got - exact), bound)
+          << info.name << " (" << i << ", " << j << ") got " << got
+          << " expected " << exact;
+    }
+  }
+  for (std::size_t idx = 0; idx < c.size(); ++idx) {
+    if (in_tile[idx]) continue;
+    const bool same = std::isnan(c_before[idx]) ? std::isnan(c[idx])
+                                                : c[idx] == c_before[idx];
+    EXPECT_TRUE(same) << info.name << " wrote outside its tile at " << idx;
+  }
+}
+
+template <typename T>
+void check_every_binding(KernelId id) {
+  const auto& info = KernelRegistry::instance().info(id);
+  for (const ABinding a : {ABinding::kPacked, ABinding::kDirectColMajor,
+                           ABinding::kPanel, ABinding::kDirectRowMajor}) {
+    // BLASFEO slivers start on a panel boundary and span whole panels.
+    if (a == ABinding::kPanel && info.mr % 4 != 0) continue;
+    for (const BBinding b : {BBinding::kPacked, BBinding::kDirectColMajor,
+                             BBinding::kRowMajor}) {
+      for (const bool c_row_major : {false, true}) {
+        for (const bool beta_zero : {false, true}) {
+          for (const bool masked : {false, true}) {
+            const Binding bind{a, b, c_row_major, beta_zero, masked};
+            SCOPED_TRACE(describe(bind));
+            check_binding<T>(id, bind);
+          }
+        }
+      }
+    }
+  }
 }
 
 class EveryKernel : public ::testing::TestWithParam<KernelId> {};
 
-TEST_P(EveryKernel, FullTileF32) { check_kernel<float>(GetParam(), false); }
-TEST_P(EveryKernel, FullTileF64) { check_kernel<double>(GetParam(), false); }
-TEST_P(EveryKernel, MaskedEdgeF32) { check_kernel<float>(GetParam(), true); }
+// Packed A and B, col-major C: the bindings of the packing strategies.
+constexpr Binding kPackedFull{ABinding::kPacked, BBinding::kPacked, false,
+                              false, false};
+constexpr Binding kPackedMasked{ABinding::kPacked, BBinding::kPacked, false,
+                                false, true};
+
+TEST_P(EveryKernel, FullTileF32) {
+  check_binding<float>(GetParam(), kPackedFull);
+}
+TEST_P(EveryKernel, FullTileF64) {
+  check_binding<double>(GetParam(), kPackedFull);
+}
+TEST_P(EveryKernel, MaskedEdgeF32) {
+  check_binding<float>(GetParam(), kPackedMasked);
+}
+TEST_P(EveryKernel, EveryBindingF32) {
+  check_every_binding<float>(GetParam());
+}
+TEST_P(EveryKernel, EveryBindingF64) {
+  check_every_binding<double>(GetParam());
+}
+
+TEST_P(EveryKernel, RunsACompiledKernel) {
+  // generic_microkernel serves only masked updates, strided-row A and
+  // unregistered tiles; every registered tile has its own kernel.
+  EXPECT_NE(kernel_fn<float>(GetParam()), &generic_microkernel<float>);
+  EXPECT_NE(kernel_fn<double>(GetParam()), &generic_microkernel<double>);
+}
 
 TEST_P(EveryKernel, SchedulesBuildForBothPrecisions) {
   const KernelId id = GetParam();
